@@ -5,7 +5,7 @@
    the affected-view computation are order-sensitive and cheap), then
    each affected view's Δ-folds are chained in record order and the
    per-view chains — the expensive part — are handed to the domain
-   pool ({!Db.replay_appends}).  The available parallelism is therefore
+   pool ({!Db.replay}, the commit core's non-atomic mode).  The available parallelism is therefore
    the number of *independent view chains* in a window, not the number
    of records:
 

@@ -86,7 +86,6 @@ let create ?(default_group = "main") ?(jobs = 1) ?(heavy_threshold = 0) () =
   Hashtbl.add t.groups default_group (Group.create default_group);
   t
 
-let jobs t = Exec.Pool.jobs t.pool
 let pool t = t.pool
 let heavy_threshold t = t.heavy_threshold
 
@@ -219,175 +218,332 @@ let registry t = t.registry
 let on_batch t hook = t.batch_hooks <- hook :: t.batch_hooks
 let has_batch_hooks t = t.batch_hooks <> []
 
-(* ---- the transaction path ----
+(* ---- the commit core ----
 
-   Validate → journal (write-ahead) → mark → mutate → commit → notify;
-   any exception between mark and commit rolls the group watermark, the
-   batch chronicles, every relation and every begun view back to their
-   pre-batch state, emits [Ev_abort] (so a journal can erase the
-   write-ahead record) and re-raises.  Subscribers and batch hooks run
-   strictly after commit: an exception there no longer aborts the
-   batch. *)
+   Every append — a live append, a group commit, the journal's final
+   record at recovery, a recovery replay window — is one [commit] over a
+   list of entries [(group, sn, resolved batch)]:
 
-let dedup_affected views =
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun v ->
-      let name = View.name v in
-      if Hashtbl.mem seen name then false
-      else begin
-        Hashtbl.add seen name ();
-        true
-      end)
-    views
+     validate every entry (nothing that can never commit is journaled)
+     → emit the write-ahead record (live commits only)
+     → mark every chronicle the entries touch, every relation and each
+       group watermark (atomic commits only)
+     → per entry, in order: skip it if its sn is at or below its group's
+       watermark (the recovery-idempotence case), else claim the sn,
+       record the batch, flush the relation updates that have come due
+       and compute the affected views
+     → fold: per-view chains on the pool — a view folds its batches in
+       record order; distinct views' folds are independent by the
+       maintenance theorem — run at the end, after every entry with a
+       history-reading affected view (recording further batches could
+       evict the ring-retained tuples its Δ still needs), and after
+       every entry while relation updates are pending (a later entry's
+       [flush_pending] must not be visible to an earlier entry's fold)
+     → commit the marks, then notify subscribers and batch hooks in
+       record order, strictly post-commit.
 
-let transactional_append t g batch ~claim =
-  check_writable t "append";
-  (* 1. validate: batch shape, group membership, tuple types, sequence
-        number — all before the write-ahead record is emitted, so a batch
-        that can never commit is never journaled. *)
-  if batch = [] then invalid_arg "Db.append: empty batch";
-  List.iter
-    (fun (c, tuples) ->
-      if not (Group.same (Chron.group c) g) then
-        invalid_arg
-          (Printf.sprintf "Db.append: chronicle %s is not in group %s"
-             (Chron.name c) (Group.name g));
-      Chron.check_batch c tuples)
-    batch;
-  let wm = Group.watermark g in
-  let sn =
-    match claim with
-    | None -> wm + 1
-    | Some sn ->
-        if sn <= wm then
-          raise (Group.Stale_sequence_number { given = sn; watermark = wm });
-        sn
-  in
-  (* 2. write-ahead: the journal record precedes every state mutation *)
-  emit t
-    (Ev_append
-       {
-         group = Group.name g;
-         sn;
-         batch = List.map (fun (c, tuples) -> (Chron.name c, tuples)) batch;
-       });
-  (* 3. mark everything the batch may touch *)
-  let chron_marks = List.map (fun (c, _) -> (c, Chron.mark c)) batch in
-  let rel_marks =
-    Hashtbl.fold (fun _ r acc -> (r, Versioned.mark r) :: acc) t.relations []
-  in
-  (match claim with
-  | None -> ignore (Group.next_sn g)
-  | Some sn -> Group.claim_sn g sn);
-  match
-    (* 4. mutate: record the batch, flush due relation updates, fold the
-          affected views (each inside its own undo scope) *)
-    let tagged_batch =
-      List.map (fun (c, tuples) -> (c, Chron.record c sn tuples)) batch
-    in
-    (* future-effective relation updates that have come due take effect
-       before the views see this batch (they are proactive for [sn]) *)
-    Hashtbl.iter
-      (fun _ r -> Versioned.flush_pending r ~upto:(sn - 1))
-      t.relations;
-    let affected =
-      dedup_affected
-        (List.concat_map
-           (fun (c, tagged) -> Registry.affected t.registry c tagged)
-           tagged_batch)
-    in
-    let fold_one v =
-      (* per-append work is probe-and-fold only: the body Δ-plan was
-         compiled once at registration and is replayed here *)
-      (match t.fold_probe with
-      | Some probe -> probe ~view:(View.name v) ~sn
-      | None -> ());
-      View.maintain v ~sn ~batch:tagged_batch
-    in
-    let njobs = Exec.Pool.jobs t.pool in
-    if njobs <= 1 || List.length affected <= 1 then begin
-      (* the historical sequential path, byte-identical at jobs = 1 *)
-      let begun = ref [] in
-      (try
-         List.iter
-           (fun v ->
-             View.begin_txn v;
-             begun := v :: !begun;
-             fold_one v)
-           affected
-       with e ->
-         List.iter View.rollback_txn !begun;
-         raise e)
-    end
-    else begin
-      (* Parallel Δ-maintenance.  [affected] is deterministic
-         (registration order, deduplicated), partitioned into
-         contiguous ranges — one range per task, each view owned by
-         exactly one task, so the view's whole txn bracket
-         (begin/fold/commit-or-rollback bookkeeping) is single-domain
-         and needs no locking.  Shared inputs (the recorded batch,
-         chronicle history, relation states) are read-only for the
-         duration; the global [Stats] counters are atomic.  A failure
-         anywhere joins the pool first (all tasks finish or fail —
-         nothing is cancelled mid-fold), then rolls back every begun
-         view on this domain and re-raises the lowest-indexed failure,
-         which the enclosing handler turns into a full batch abort. *)
-      let views = Array.of_list affected in
-      let begun = Array.make (Array.length views) false in
-      let tasks =
-        Array.map
-          (fun (start, len) () ->
-            for i = start to start + len - 1 do
-              let v = views.(i) in
-              View.begin_txn v;
-              begun.(i) <- true;
-              fold_one v
-            done)
-          (Exec.Pool.chunk_ranges ~jobs:njobs (Array.length views))
-      in
-      match Exec.Pool.run t.pool tasks with
-      | exns when Array.for_all Option.is_none exns -> ()
-      | exns ->
-          Array.iteri
-            (fun i begun_i -> if begun_i then View.rollback_txn views.(i))
-            begun;
-          Array.iter (function Some e -> raise e | None -> ()) exns
-    end;
-    List.iter View.commit_txn affected;
-    tagged_batch
-  with
-  | tagged_batch ->
-      (* 5. commit the marks, then notify (post-commit observers) *)
-      List.iter (fun (r, _) -> Versioned.commit r) rel_marks;
-      List.iter (fun (c, _) -> Chron.commit c) chron_marks;
-      List.iter (fun (c, tagged) -> Chron.notify c sn tagged) tagged_batch;
+   Any failure between mark and commit rolls the whole commit back —
+   every begun view, chronicle, relation and watermark — bumps
+   [Stats.Rollback], emits [Ev_abort] for a journaled commit and
+   re-raises: an atomic commit is never partially visible.  A recovery
+   window is not atomic: it takes no undo marks (the bookkeeping is what
+   makes per-record replay slow), observers fire after each fold run,
+   and a failure leaves the database partially replayed — recovery then
+   discards it.  Failures are wrapped in [Commit_error] with the index of
+   the lowest failing entry, deterministic at every degree because
+   distinct views' chains do not interact; atomic entry points re-raise
+   the underlying error. *)
+
+exception Commit_error of { index : int; error : exn }
+
+type mode =
+  | Journaled of txn_event (* a live commit: write-ahead record, atomic *)
+  | Atomic (* the journal's final record: atomic, not re-journaled *)
+  | Window (* a recovery window: neither journaled nor undoable *)
+
+let at index f =
+  try f () with
+  | Commit_error _ as e -> raise e
+  | error -> raise (Commit_error { index; error })
+
+let unwrap f = try f () with Commit_error { error; _ } -> raise error
+
+let dedup name = function
+  | ([] | [ _ ]) as xs -> xs
+  | xs ->
+      let seen = Hashtbl.create 8 in
+      List.filter
+        (fun x ->
+          let k = name x in
+          (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true))
+        xs
+
+let reads_history_view v = Ca.reads_history (Sca.body (View.def v))
+
+let validate ~op i (g, _, batch) =
+  at i (fun () ->
+      if batch = [] then invalid_arg (Printf.sprintf "Db.%s: empty batch" op);
       List.iter
-        (fun hook -> hook ~sn ~batch:tagged_batch)
-        (List.rev t.batch_hooks);
-      sn
-  | exception e ->
-      List.iter (fun (r, m) -> Versioned.rollback r m) rel_marks;
-      List.iter (fun (c, m) -> Chron.rollback c m) chron_marks;
-      Group.rollback_watermark g wm;
-      Stats.incr Stats.Rollback;
-      emit t (Ev_abort { group = Group.name g; sn });
-      raise e
+        (fun (c, tuples) ->
+          if not (Group.same (Chron.group c) g) then
+            invalid_arg
+              (Printf.sprintf "Db.%s: chronicle %s is not in group %s" op
+                 (Chron.name c) (Group.name g));
+          Chron.check_batch c tuples)
+        batch)
 
-let append t cname tuples =
-  let c = chronicle t cname in
-  transactional_append t (Chron.group c) [ (c, tuples) ] ~claim:None
+let record t g sn batch =
+  Group.claim_sn g sn;
+  let tagged =
+    List.map (fun (c, tuples) -> (c, Chron.record c sn tuples)) batch
+  in
+  (* future-effective relation updates that have come due take effect
+     before the views see this batch (they are proactive for [sn]) *)
+  Hashtbl.iter
+    (fun _ r -> Versioned.flush_pending r ~upto:(sn - 1))
+    t.relations;
+  let affected =
+    match tagged with
+    | [ (c, tg) ] -> Registry.affected t.registry c tg (* each view once *)
+    | _ ->
+        dedup View.name
+          (List.concat_map
+             (fun (c, tg) -> Registry.affected t.registry c tg)
+             tagged)
+  in
+  (tagged, affected)
+
+(* One view's fold of one recorded entry, reporting a failure with the
+   entry's index. *)
+let fold_view t v ~index ~sn ~tagged =
+  try
+    (match t.fold_probe with
+    | Some probe -> probe ~view:(View.name v) ~sn
+    | None -> ());
+    View.maintain v ~sn ~batch:tagged
+  with error -> raise (Commit_error { index; error })
+
+(* The fold scheduler: run per-view chains of folds on the pool — at
+   [jobs = 1] inline, in chain order — and re-raise the failure of the
+   lowest entry index (the first chain's among equals).  Every fold
+   reports its failure as a [Commit_error]. *)
+let run_folds t chains =
+  let failures = Exec.Pool.run_chains t.pool (Array.of_list chains) in
+  let lowest =
+    Array.fold_left
+      (fun acc failure ->
+        match (acc, failure) with
+        | None, _ -> failure
+        | ( Some (Commit_error { index = j; _ }),
+            Some (Commit_error { index; _ }) )
+          when index < j ->
+            failure
+        | _ -> acc)
+      None failures
+  in
+  Option.iter raise lowest
+
+let commit t ~op mode entries =
+  check_writable t op;
+  List.iteri (validate ~op) entries;
+  let atomic = match mode with Window -> false | Journaled _ | Atomic -> true in
+  (match mode with Journaled ev -> emit t ev | Atomic | Window -> ());
+  let chron_marks, rel_marks, wm_marks =
+    if not atomic then ([], [], [])
+    else
+      ( List.map
+          (fun c -> (c, Chron.mark c))
+          (dedup Chron.name
+             (List.concat_map (fun (_, _, b) -> List.map fst b) entries)),
+        Hashtbl.fold
+          (fun _ r acc -> (r, Versioned.mark r) :: acc)
+          t.relations [],
+        List.map
+          (fun g -> (g, Group.watermark g))
+          (dedup Group.name (List.map (fun (g, _, _) -> g) entries)) )
+  in
+  let interleave =
+    Hashtbl.fold
+      (fun _ r acc -> acc || Versioned.pending_count r > 0)
+      t.relations false
+    || ((not atomic) && t.batch_hooks <> [])
+  in
+  let outcomes = Array.make (List.length entries) false in
+  let last = Array.length outcomes - 1 in
+  let begun = ref [] in
+  (* recorded entries [(index, sn, tagged, affected)], newest first:
+     those not yet folded, and all of them for the post-commit
+     observers of an atomic commit *)
+  let recorded = ref [] and unfolded = ref [] in
+  let observe recs =
+    List.iter
+      (fun (_, sn, tagged, _) ->
+        List.iter (fun (c, tg) -> Chron.notify c sn tg) tagged)
+      recs;
+    List.iter
+      (fun (_, sn, tagged, _) ->
+        List.iter (fun hook -> hook ~sn ~batch:tagged) (List.rev t.batch_hooks))
+      recs
+  in
+  let fold () =
+    let recs = List.rev !unfolded in
+    unfolded := [];
+    let chains =
+      match recs with
+      | [ (index, sn, tagged, affected) ] ->
+          (* one entry: [affected] already lists each view once *)
+          List.map
+            (fun v -> (v, [| (fun () -> fold_view t v ~index ~sn ~tagged) |]))
+            affected
+      | recs ->
+          (* chains in order of first appearance: deterministic, since
+             recording runs in entry order and [Registry.affected] lists
+             views in registration order *)
+          let order = ref [] and chains = Hashtbl.create 8 in
+          List.iter
+            (fun (index, sn, tagged, affected) ->
+              List.iter
+                (fun v ->
+                  let name = View.name v in
+                  let chain =
+                    match Hashtbl.find_opt chains name with
+                    | Some chain -> chain
+                    | None ->
+                        let chain = ref [] in
+                        Hashtbl.add chains name chain;
+                        order := (v, chain) :: !order;
+                        chain
+                  in
+                  chain :=
+                    (fun () -> fold_view t v ~index ~sn ~tagged) :: !chain)
+                affected)
+            recs;
+          List.rev_map
+            (fun (v, chain) -> (v, Array.of_list (List.rev !chain)))
+            !order
+    in
+    (* txn brackets are per-view bookkeeping: open them on the
+       submitting domain before the pool touches anything *)
+    if atomic then
+      List.iter
+        (fun (v, _) ->
+          if not (View.in_txn v) then begin
+            View.begin_txn v;
+            begun := v :: !begun
+          end)
+        chains;
+    run_folds t (List.map snd chains);
+    if not atomic then observe recs
+  in
+  let apply () =
+    List.iteri
+      (fun i (g, sn, batch) ->
+        at i (fun () ->
+            if sn > Group.watermark g then begin
+              let tagged, affected = record t g sn batch in
+              outcomes.(i) <- true;
+              if atomic then recorded := (i, sn, tagged, affected) :: !recorded;
+              unfolded := (i, sn, tagged, affected) :: !unfolded;
+              (* the last entry's folds run below in any case *)
+              if
+                i < last
+                && (interleave || List.exists reads_history_view affected)
+              then fold ()
+            end))
+      entries;
+    if !unfolded <> [] then fold ()
+  in
+  if not atomic then apply ()
+  else begin
+    match apply () with
+    | () ->
+        List.iter View.commit_txn !begun;
+        List.iter (fun (r, _) -> Versioned.commit r) rel_marks;
+        List.iter (fun (c, _) -> Chron.commit c) chron_marks;
+        (* a committed group record is one group commit, counted before
+           the observers run (one of them may raise) *)
+        (match mode with
+        | Journaled (Ev_group { entries; _ }) ->
+            Stats.incr Stats.Group_commit;
+            Stats.record_max Stats.Group_size_max (List.length entries)
+        | _ -> ());
+        observe (List.rev !recorded)
+    | exception e ->
+        List.iter View.rollback_txn !begun;
+        List.iter (fun (r, m) -> Versioned.rollback r m) rel_marks;
+        List.iter (fun (c, m) -> Chron.rollback c m) chron_marks;
+        List.iter (fun (g, wm) -> Group.rollback_watermark g wm) wm_marks;
+        Stats.incr Stats.Rollback;
+        (match (mode, entries) with
+        | Journaled _, (g, sn, _) :: _ ->
+            emit t (Ev_abort { group = Group.name g; sn })
+        | _ -> ());
+        raise e
+  end;
+  outcomes
+
+(* ---- the entry points: what each caller knows ---- *)
 
 let resolve_batch t batch =
   List.map (fun (cname, tuples) -> (chronicle t cname, tuples)) batch
 
-let append_multi t ?group:gname batch =
-  let g = group t (Option.value ~default:t.default_group gname) in
-  transactional_append t g (resolve_batch t batch) ~claim:None
+let batch_names batch =
+  List.map (fun (c, tuples) -> (Chron.name c, tuples)) batch
 
-let append_at t ?group:gname ~sn batch =
+let append_one t g batch =
+  let sn = Group.watermark g + 1 in
+  let ev = Ev_append { group = Group.name g; sn; batch = batch_names batch } in
+  ignore
+    (unwrap (fun () ->
+         commit t ~op:"append" (Journaled ev) [ (g, sn, batch) ]));
+  sn
+
+let append t cname tuples =
+  let c = chronicle t cname in
+  append_one t (Chron.group c) [ (c, tuples) ]
+
+let append_multi t ?group:gname batch =
+  append_one t
+    (group t (Option.value ~default:t.default_group gname))
+    (resolve_batch t batch)
+
+let append_group t ?group:gname batches =
   let g = group t (Option.value ~default:t.default_group gname) in
-  ignore (transactional_append t g (resolve_batch t batch) ~claim:(Some sn))
+  if batches = [] then invalid_arg "Db.append_group: empty group";
+  let wm = Group.watermark g in
+  let entries =
+    List.mapi (fun i batch -> (g, wm + 1 + i, resolve_batch t batch)) batches
+  in
+  let ev =
+    Ev_group
+      {
+        group = Group.name g;
+        entries =
+          List.map (fun (_, sn, batch) -> (sn, batch_names batch)) entries;
+      }
+  in
+  ignore
+    (unwrap (fun () -> commit t ~op:"append_group" (Journaled ev) entries));
+  List.map (fun (_, sn, _) -> sn) entries
+
+type replay_entry = {
+  rgroup : string;
+  rsn : Seqnum.t;
+  rbatch : (string * Tuple.t list) list;
+}
+
+let resolve_entries t entries =
+  List.mapi
+    (fun i { rgroup; rsn; rbatch } ->
+      at i (fun () -> (group t rgroup, rsn, resolve_batch t rbatch)))
+    entries
+
+let replay t entries = commit t ~op:"replay" Window (resolve_entries t entries)
+
+let replay_group t entries =
+  if entries = [] then invalid_arg "Db.replay_group: empty group";
+  unwrap (fun () ->
+      commit t ~op:"replay_group" Atomic (resolve_entries t entries))
 
 (* Relation-row inserts follow the same write-ahead discipline as
    appends: validate every row, emit [Ev_insert] carrying the relation's
@@ -421,482 +577,6 @@ let insert_rows t rname rows =
         emit t (Ev_abort { group = Group.name g; sn = Group.watermark g });
         raise e
   end
-
-(* ---- the replay path ----
-
-   Recovery re-applies journaled append batches.  [append_at] (above)
-   does that one batch at a time through the fully transactional path;
-   [replay_appends] applies a *run* of batches with the Δ-folds of
-   independent views scheduled across the pool:
-
-     phase 1 (sequential, submitter only): for each record in order —
-       skip-check against the group watermark, validate, claim the
-       sequence number, record the batch into its chronicles, flush
-       due relation updates, and compute the affected-view set
-       (Registry.affected, registration-order deterministic);
-     phase 2 (parallel): group the recorded folds into per-view chains
-       (each view folds its batches in record order — the mandatory
-       per-view ordering) and submit the chains to the pool
-       (Exec.Pool.run_chains); distinct views' chains are independent
-       by the maintenance theorem, exactly as in the live path.
-
-   Pre-recording batch [i+1] before folding batch [i] is safe precisely
-   when no affected view's Δ reads retained history beyond its own
-   batch (Ca.reads_history): a history-reading fold forces a flush
-   barrier — fold everything recorded so far before recording further.
-   Order-sensitive observers (batch hooks, pending future-effective
-   relation updates) force the fully transactional per-record path;
-   chronicle subscribers and batch hooks otherwise fire in record order
-   after each flush, not interleaved with recording (unobservable in
-   recovery, which installs its sink and probes only after replay).
-
-   Unlike the live path this entry point is *not* transactional across
-   records: a failure raises [Replay_error] with the lowest failing
-   record index (deterministic at every degree — chains do not
-   interact, so the failure set is degree-independent) and leaves the
-   database partially replayed.  The intended caller (recovery) then
-   discards the in-memory database; nothing has touched storage. *)
-
-exception Replay_error of { index : int; error : exn }
-
-type replay_entry = {
-  rgroup : string;
-  rsn : Seqnum.t;
-  rbatch : (string * Tuple.t list) list;
-}
-
-let reads_history_view v = Ca.reads_history (Sca.body (View.def v))
-
-let replay_appends t entries =
-  check_writable t "replay_appends";
-  let entries = Array.of_list entries in
-  let n = Array.length entries in
-  let outcomes = Array.make n false in
-  let wrap i f =
-    try f () with
-    | Replay_error _ as e -> raise e
-    | e -> raise (Replay_error { index = i; error = e })
-  in
-  let order_sensitive =
-    t.batch_hooks <> []
-    || Hashtbl.fold
-         (fun _ r acc -> acc || Versioned.pending_count r > 0)
-         t.relations false
-  in
-  if order_sensitive then
-    (* hooks interleave with recording, pending relation updates come
-       due between folds: replay strictly one transactional batch at a
-       time, identical to [append_at] in a loop *)
-    Array.iteri
-      (fun i { rgroup; rsn; rbatch } ->
-        wrap i (fun () ->
-            let g = group t rgroup in
-            if rsn > Group.watermark g then begin
-              ignore
-                (transactional_append t g (resolve_batch t rbatch)
-                   ~claim:(Some rsn));
-              outcomes.(i) <- true
-            end))
-      entries
-  else begin
-    (* (index, sn, tagged batch, affected views), newest first *)
-    let recorded = ref [] in
-    let flush () =
-      match List.rev !recorded with
-      | [] -> ()
-      | recs ->
-          recorded := [];
-          (* per-view fold chains in order of first appearance (itself
-             deterministic: phase 1 runs in record order and
-             [Registry.affected] lists views in registration order) *)
-          let order = ref [] and links = Hashtbl.create 8 in
-          List.iter
-            (fun (i, sn, tagged, affected) ->
-              List.iter
-                (fun v ->
-                  let name = View.name v in
-                  let cell =
-                    match Hashtbl.find_opt links name with
-                    | Some cell -> cell
-                    | None ->
-                        let cell = ref [] in
-                        Hashtbl.add links name cell;
-                        order := (name, v) :: !order;
-                        cell
-                  in
-                  cell := (i, sn, tagged) :: !cell)
-                affected)
-            recs;
-          let chains =
-            Array.of_list
-              (List.rev_map
-                 (fun (name, v) ->
-                   Array.of_list
-                     (List.rev_map
-                        (fun (i, sn, tagged) () ->
-                          wrap i (fun () ->
-                              (match t.fold_probe with
-                              | Some probe -> probe ~view:name ~sn
-                              | None -> ());
-                              View.maintain v ~sn ~batch:tagged))
-                        !(Hashtbl.find links name)))
-                 !order)
-          in
-          let failures = Exec.Pool.run_chains t.pool chains in
-          let worst = ref None in
-          Array.iter
-            (function
-              | None -> ()
-              | Some (Replay_error { index; _ } as e) -> (
-                  match !worst with
-                  | Some (Replay_error { index = j; _ }) when j <= index -> ()
-                  | _ -> worst := Some e)
-              | Some e -> (
-                  (* chain links always wrap; defensive *)
-                  match !worst with None -> worst := Some e | Some _ -> ()))
-            failures;
-          (match !worst with Some e -> raise e | None -> ());
-          (* post-fold notifications, in record order *)
-          List.iter
-            (fun (_, sn, tagged, _) ->
-              List.iter (fun (c, tg) -> Chron.notify c sn tg) tagged)
-            recs
-    in
-    Array.iteri
-      (fun i { rgroup; rsn; rbatch } ->
-        wrap i (fun () ->
-            let g = group t rgroup in
-            if rsn > Group.watermark g then begin
-              let batch = resolve_batch t rbatch in
-              if batch = [] then invalid_arg "Db.replay_appends: empty batch";
-              List.iter
-                (fun (c, tuples) ->
-                  if not (Group.same (Chron.group c) g) then
-                    invalid_arg
-                      (Printf.sprintf
-                         "Db.replay_appends: chronicle %s is not in group %s"
-                         (Chron.name c) (Group.name g));
-                  Chron.check_batch c tuples)
-                batch;
-              emit t (Ev_append { group = rgroup; sn = rsn; batch = rbatch });
-              Group.claim_sn g rsn;
-              let tagged =
-                List.map (fun (c, tuples) -> (c, Chron.record c rsn tuples)) batch
-              in
-              Hashtbl.iter
-                (fun _ r -> Versioned.flush_pending r ~upto:(rsn - 1))
-                t.relations;
-              let affected =
-                dedup_affected
-                  (List.concat_map
-                     (fun (c, tg) -> Registry.affected t.registry c tg)
-                     tagged)
-              in
-              recorded := (i, rsn, tagged, affected) :: !recorded;
-              outcomes.(i) <- true;
-              if List.exists reads_history_view affected then
-                (* a history-reading fold must run before any later
-                   batch is recorded (recording could evict the
-                   ring-retained tuples it still needs) *)
-                flush ()
-            end))
-      entries;
-    flush ()
-  end;
-  outcomes
-
-(* ---- the group-commit path ----
-
-   [append_group] / [replay_group] apply a *group* of append batches as
-   one atomic unit under one write-ahead record ([Ev_group]): the
-   durability layer turns the whole group into a single journal append
-   and a single sync, amortizing the fsync that dominates per-append
-   cost under [Sync_always].  The protocol is the transactional path
-   stretched over n batches:
-
-     validate every batch up front (nothing unjournalable is ever
-     journaled) → emit [Ev_group] (write-ahead) → mark every chronicle
-     the group touches, every relation, and the group watermark once →
-     record + fold → commit all marks together → notify subscribers and
-     batch hooks per batch, in record order, strictly post-commit.
-
-   Any failure between mark and commit rolls the *whole* group back —
-   every begun view, every chronicle and relation mark, the watermark —
-   emits [Ev_abort] (the journal erases the group record) and re-raises:
-   a group is never partially visible, in memory or on disk.
-
-   Fold scheduling mirrors [replay_appends]: normally all batches are
-   recorded first and the folds grouped into per-view chains on the
-   pool (the combined-Δ fan-out; a view folds its batches in record
-   order, distinct views in parallel), with a flush barrier whenever an
-   affected view's Δ reads retained history.  Pending future-effective
-   relation updates force the interleaved record-then-fold order (a
-   later batch's [flush_pending] must not be visible to an earlier
-   batch's fold).  Batch hooks do not force a mode: they are deferred
-   to post-commit by the group protocol itself — callers for whom
-   per-batch hook timing is observable (e.g. the staging queue fronting
-   periodic/windowed views) should fall back to per-append commits via
-   {!has_batch_hooks}. *)
-
-exception Group_fold of { gindex : int; error : exn }
-
-let group_apply t g entries =
-  (* [entries : (sn * (Chron.t * tuples) list) list] — non-empty,
-     batches validated, sequence numbers strictly increasing and all
-     above the watermark (checked by both callers). *)
-  let wm = Group.watermark g in
-  let first_sn = match entries with (sn, _) :: _ -> sn | [] -> assert false in
-  emit t
-    (Ev_group
-       {
-         group = Group.name g;
-         entries =
-           List.map
-             (fun (sn, batch) ->
-               (sn, List.map (fun (c, tuples) -> (Chron.name c, tuples)) batch))
-             entries;
-       });
-  let chron_marks =
-    let seen = Hashtbl.create 8 in
-    List.concat_map
-      (fun (_, batch) ->
-        List.filter_map
-          (fun (c, _) ->
-            let name = Chron.name c in
-            if Hashtbl.mem seen name then None
-            else begin
-              Hashtbl.add seen name ();
-              Some (c, Chron.mark c)
-            end)
-          batch)
-      entries
-  in
-  let rel_marks =
-    Hashtbl.fold (fun _ r acc -> (r, Versioned.mark r) :: acc) t.relations []
-  in
-  let begun = ref [] and begun_names = Hashtbl.create 8 in
-  let begin_view v =
-    let name = View.name v in
-    if not (Hashtbl.mem begun_names name) then begin
-      Hashtbl.add begun_names name ();
-      View.begin_txn v;
-      begun := v :: !begun
-    end
-  in
-  let probe name sn =
-    match t.fold_probe with Some p -> p ~view:name ~sn | None -> ()
-  in
-  let record_one sn batch =
-    Group.claim_sn g sn;
-    let tagged =
-      List.map (fun (c, tuples) -> (c, Chron.record c sn tuples)) batch
-    in
-    Hashtbl.iter (fun _ r -> Versioned.flush_pending r ~upto:(sn - 1)) t.relations;
-    let affected =
-      dedup_affected
-        (List.concat_map
-           (fun (c, tg) -> Registry.affected t.registry c tg)
-           tagged)
-    in
-    (tagged, affected)
-  in
-  match
-    let order_sensitive =
-      Hashtbl.fold
-        (fun _ r acc -> acc || Versioned.pending_count r > 0)
-        t.relations false
-    in
-    if order_sensitive then
-      (* record + fold batch by batch, inside the group-wide bracket *)
-      List.map
-        (fun (sn, batch) ->
-          let tagged, affected = record_one sn batch in
-          List.iter begin_view affected;
-          List.iter
-            (fun v ->
-              probe (View.name v) sn;
-              View.maintain v ~sn ~batch:tagged)
-            affected;
-          (sn, tagged))
-        entries
-    else begin
-      (* windowed: record everything, then hand per-view fold chains to
-         the pool — the combined-Δ fan-out *)
-      let recorded = ref [] in
-      let flush () =
-        match List.rev !recorded with
-        | [] -> ()
-        | recs ->
-            recorded := [];
-            (* chains in order of first appearance: deterministic, since
-               recording runs in group order and [Registry.affected]
-               lists views in registration order *)
-            let order = ref [] and links = Hashtbl.create 8 in
-            List.iter
-              (fun (i, sn, tagged, affected) ->
-                List.iter
-                  (fun v ->
-                    let name = View.name v in
-                    let cell =
-                      match Hashtbl.find_opt links name with
-                      | Some cell -> cell
-                      | None ->
-                          let cell = ref [] in
-                          Hashtbl.add links name cell;
-                          order := (name, v) :: !order;
-                          cell
-                    in
-                    cell := (i, sn, tagged) :: !cell)
-                  affected)
-              recs;
-            let order = List.rev !order in
-            (* txn brackets are per-view bookkeeping: open them on the
-               submitting domain before the pool touches anything *)
-            List.iter (fun (_, v) -> begin_view v) order;
-            let chains =
-              Array.of_list
-                (List.map
-                   (fun (name, v) ->
-                     Array.of_list
-                       (List.rev_map
-                          (fun (i, sn, tagged) () ->
-                            try
-                              probe name sn;
-                              View.maintain v ~sn ~batch:tagged
-                            with e -> raise (Group_fold { gindex = i; error = e }))
-                          !(Hashtbl.find links name)))
-                   order)
-            in
-            let failures = Exec.Pool.run_chains t.pool chains in
-            (* deterministic at every degree: re-raise the failure of
-               the lowest-indexed batch (chains are independent, so the
-               failure set does not depend on the parallelism) *)
-            let worst = ref None in
-            Array.iter
-              (function
-                | None -> ()
-                | Some (Group_fold { gindex; _ } as e) -> (
-                    match !worst with
-                    | Some (Group_fold { gindex = j; _ }) when j <= gindex -> ()
-                    | _ -> worst := Some e)
-                | Some e -> (
-                    (* chain links always wrap; defensive *)
-                    match !worst with None -> worst := Some e | Some _ -> ()))
-              failures;
-            (match !worst with
-            | Some (Group_fold { error; _ }) -> raise error
-            | Some e -> raise e
-            | None -> ())
-      in
-      let tagged_entries =
-        List.mapi
-          (fun i (sn, batch) ->
-            let tagged, affected = record_one sn batch in
-            recorded := (i, sn, tagged, affected) :: !recorded;
-            if List.exists reads_history_view affected then
-              (* a history-reading fold must run before any later batch
-                 is recorded (recording could evict the ring-retained
-                 tuples it still needs) *)
-              flush ();
-            (sn, tagged))
-          entries
-      in
-      flush ();
-      tagged_entries
-    end
-  with
-  | tagged_entries ->
-      List.iter View.commit_txn !begun;
-      List.iter (fun (r, _) -> Versioned.commit r) rel_marks;
-      List.iter (fun (c, _) -> Chron.commit c) chron_marks;
-      Stats.incr Stats.Group_commit;
-      Stats.record_max Stats.Group_size_max (List.length entries);
-      (* post-commit observers, in record order — first all subscriber
-         notifications, then the batch hooks, each walking the group in
-         order *)
-      List.iter
-        (fun (sn, tagged) ->
-          List.iter (fun (c, tg) -> Chron.notify c sn tg) tagged)
-        tagged_entries;
-      List.iter
-        (fun (sn, tagged) ->
-          List.iter
-            (fun hook -> hook ~sn ~batch:tagged)
-            (List.rev t.batch_hooks))
-        tagged_entries
-  | exception e ->
-      List.iter View.rollback_txn !begun;
-      List.iter (fun (r, m) -> Versioned.rollback r m) rel_marks;
-      List.iter (fun (c, m) -> Chron.rollback c m) chron_marks;
-      Group.rollback_watermark g wm;
-      Stats.incr Stats.Rollback;
-      emit t (Ev_abort { group = Group.name g; sn = first_sn });
-      raise e
-
-let validate_group_batch ~ctx g batch =
-  if batch = [] then invalid_arg (Printf.sprintf "Db.%s: empty batch" ctx);
-  List.iter
-    (fun (c, tuples) ->
-      if not (Group.same (Chron.group c) g) then
-        invalid_arg
-          (Printf.sprintf "Db.%s: chronicle %s is not in group %s" ctx
-             (Chron.name c) (Group.name g));
-      Chron.check_batch c tuples)
-    batch
-
-let append_group t ?group:gname batches =
-  check_writable t "append_group";
-  let g = group t (Option.value ~default:t.default_group gname) in
-  if batches = [] then invalid_arg "Db.append_group: empty group";
-  let batches = List.map (resolve_batch t) batches in
-  List.iter (validate_group_batch ~ctx:"append_group" g) batches;
-  let wm = Group.watermark g in
-  let entries = List.mapi (fun i batch -> (wm + 1 + i, batch)) batches in
-  group_apply t g entries;
-  List.map fst entries
-
-let replay_group t entries =
-  check_writable t "replay_group";
-  let n = List.length entries in
-  if n = 0 then invalid_arg "Db.replay_group: empty group";
-  let gname = (List.hd entries).rgroup in
-  let g = group t gname in
-  List.iter
-    (fun { rgroup; _ } ->
-      if rgroup <> gname then
-        invalid_arg
-          (Printf.sprintf
-             "Db.replay_group: mixed groups in one record (%s vs %s)" gname
-             rgroup))
-    entries;
-  let outcomes = Array.make n false in
-  let wm = Group.watermark g in
-  (* entries at or below the watermark are already covered by the
-     checkpoint (recovery idempotence); the rest must apply in order *)
-  let live =
-    List.filteri (fun i { rsn; _ } -> rsn > wm && (outcomes.(i) <- true; true))
-      entries
-  in
-  (match live with
-  | [] -> ()
-  | live ->
-      ignore
-        (List.fold_left
-           (fun prev { rsn; _ } ->
-             if rsn <= prev then
-               raise (Group.Stale_sequence_number { given = rsn; watermark = prev });
-             rsn)
-           wm live);
-      let resolved =
-        List.map
-          (fun { rsn; rbatch; _ } ->
-            let batch = resolve_batch t rbatch in
-            validate_group_batch ~ctx:"replay_group" g batch;
-            (rsn, batch))
-          live
-      in
-      group_apply t g resolved);
-  outcomes
 
 (* ---- the retraction path (ℤ-weighted deltas) ----
 
@@ -947,7 +627,7 @@ let retract_at t c ~sn ~rows =
   let live =
     List.filter
       (fun v -> not (reads_history_view v))
-      (dedup_affected (Registry.affected t.registry c tagged))
+      (dedup View.name (Registry.affected t.registry c tagged))
   in
   (* at-sn before-slices, taken pre-mutation, only where the compiled
      plan will actually diff them *)
@@ -972,26 +652,13 @@ let retract_at t c ~sn ~rows =
     in
     View.apply_weighted v ~body:(fun () -> Eval.eval body) wdelta
   in
-  let njobs = Exec.Pool.jobs t.pool in
-  if njobs <= 1 || List.length prepared <= 1 then
-    List.iter apply_one prepared
-  else begin
-    (* same contiguous-range partitioning as the append path: each view
-       is owned by exactly one task; failures join the pool first, then
-       the lowest-indexed exception re-raises into the coarse undo *)
-    let work = Array.of_list prepared in
-    let tasks =
-      Array.map
-        (fun (start, len) () ->
-          for i = start to start + len - 1 do
-            apply_one work.(i)
-          done)
-        (Exec.Pool.chunk_ranges ~jobs:njobs (Array.length work))
-    in
-    match Exec.Pool.run t.pool tasks with
-    | exns when Array.for_all Option.is_none exns -> ()
-    | exns -> Array.iter (function Some e -> raise e | None -> ()) exns
-  end
+  (* one single-fold chain per view on the commit core's scheduler; the
+     first failing view's exception re-raises into the coarse undo *)
+  unwrap (fun () ->
+      run_folds t
+        (List.map
+           (fun p -> [| (fun () -> at 0 (fun () -> apply_one p)) |])
+           prepared))
 
 (* Apply fully resolved retraction entries ([(sn, user rows)] with sn
    ascending) under the write-ahead + coarse-undo bracket. *)
@@ -999,7 +666,7 @@ let retract_resolved t c entries =
   let cname = Chron.name c in
   emit t (Ev_retract { chronicle = cname; entries });
   let affected =
-    dedup_affected
+    dedup View.name
       (List.concat_map
          (fun (sn, rows) ->
            Registry.affected t.registry c (List.map (Chron.tag sn) rows))

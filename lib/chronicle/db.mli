@@ -54,10 +54,6 @@ val create : ?default_group:string -> ?jobs:int -> ?heavy_threshold:int -> unit 
     partitioning in practice.  The threshold never changes view
     contents or order — only where the per-append probe work lands. *)
 
-val jobs : t -> int
-(** The effective parallelism degree ([>= 1]; [?jobs:0] has already
-    been resolved to the recommended domain count). *)
-
 val heavy_threshold : t -> int
 (** The configured heavy-light promotion bar ([0] = adaptive). *)
 
@@ -128,12 +124,6 @@ val append : t -> string -> Tuple.t list -> Seqnum.t
 val append_multi : t -> ?group:string -> (string * Tuple.t list) list -> Seqnum.t
 (** One batch spanning several chronicles of one group under a single
     sequence number. *)
-
-val append_at : t -> ?group:string -> sn:Seqnum.t -> (string * Tuple.t list) list -> unit
-(** Like {!append_multi} with a caller-chosen sequence number (the
-    journal-replay path of recovery: batches are re-applied under their
-    original numbers).  Raises [Group.Stale_sequence_number] if [sn]
-    does not exceed the group watermark. *)
 
 val append_group : t -> ?group:string -> (string * Tuple.t list) list list -> Seqnum.t list
 (** Group commit: apply several append batches as {e one atomic unit}
@@ -215,14 +205,16 @@ val advance_clock : t -> ?group:string -> Seqnum.chronon -> unit
 
 (** {2 Replay}
 
-    Recovery re-applies journaled append batches.  {!append_at} does it
-    one transactional batch at a time; {!replay_appends} applies a run
-    of batches with the per-view Δ-folds scheduled across the
-    maintenance pool. *)
+    Recovery re-applies journaled append batches under their original
+    sequence numbers, through the same commit core as {!append} and
+    {!append_group}: one validator, one record step, one fold
+    scheduler.  An entry whose sequence number is at or below its
+    group's watermark is skipped — its effect is already in the
+    checkpoint (the idempotent-recovery case). *)
 
-exception Replay_error of { index : int; error : exn }
-(** A record of a {!replay_appends} run failed.  [index] is the
-    position of the {e lowest} failing entry in the submitted list — a
+exception Commit_error of { index : int; error : exn }
+(** An entry of a {!replay} window failed.  [index] is the position of
+    the {e lowest} failing entry in the submitted list — a
     deterministic choice at every parallelism degree, because distinct
     views' fold chains do not interact, so which folds fail is
     independent of scheduling. *)
@@ -233,38 +225,35 @@ type replay_entry = {
   rbatch : (string * Tuple.t list) list;  (** user tuples, untagged *)
 }
 
-val replay_appends : t -> replay_entry list -> bool array
-(** Re-apply the entries in order; return per-entry [true] = applied,
-    [false] = skipped (its sequence number is already at or below the
-    group watermark — the idempotent-recovery case).
+val replay : t -> replay_entry list -> bool array
+(** Re-apply a window of entries in order; return per-entry [true] =
+    applied, [false] = skipped.
 
-    Recording is strictly sequential and in submission order; the
-    Δ-folds are grouped into per-view chains (each view folds its
-    batches in record order) and run on the database's pool — at
-    [jobs = 1] inline, so the folds a view performs and the state it
-    reaches are identical at every degree.  A view whose Δ reads
-    retained history beyond its batch ({!Ca.reads_history}) forces a
-    fold barrier before the next entry is recorded, preserving
-    sequential ring-retention semantics.  If batch hooks are registered
-    or a relation holds pending future-effective updates, the whole run
-    degrades to {!append_at}-equivalent sequential transactions
-    (order-sensitive observers); otherwise chronicle subscribers fire
-    in record order after each fold barrier rather than interleaved
-    with recording.
+    Every entry is validated first; then recording is strictly
+    sequential, in submission order, and the Δ-folds are grouped into
+    per-view chains (each view folds its batches in record order) run
+    on the database's pool — at [jobs = 1] inline, so the folds a view
+    performs and the state it reaches are identical at every degree.
+    A view whose Δ reads retained history beyond its batch
+    ({!Ca.reads_history}) forces the folds to run before the next
+    entry is recorded, preserving sequential ring-retention semantics;
+    pending future-effective relation updates and registered batch
+    hooks force that after every entry.  Chronicle subscribers and
+    batch hooks fire in record order after each run of folds.
 
-    {b Not} transactional across entries: a failure raises
-    {!Replay_error} carrying the lowest failing index and leaves the
-    database partially replayed — the intended caller (recovery)
-    discards the in-memory database on failure. *)
+    {b Not} atomic: nothing is journaled, no undo state is kept, and a
+    failure raises {!Commit_error} carrying the lowest failing index,
+    leaving the database partially replayed — the intended caller
+    (recovery) discards the in-memory database on failure. *)
 
 val replay_group : t -> replay_entry list -> bool array
-(** Recovery twin of {!append_group}: re-apply a journaled group record
-    atomically under its original sequence numbers.  Entries at or
-    below the group watermark are skipped ([false] — the idempotent
-    recovery case); the remainder applies as one unit.  All entries
-    must name the same chronicle group.  On failure the whole group is
-    rolled back and the exception re-raised, so recovery can treat a
-    dying process's final group as applied-or-dropped, never torn. *)
+(** The atomic twin of {!replay}, for the journal's final record (an
+    append or a group): the non-skipped entries apply as one unit,
+    exactly as {!append_group} applies them, but nothing is
+    journaled.  On failure every entry is rolled back and the
+    underlying exception re-raised, so recovery can treat a dying
+    process's final record as applied-or-dropped, never torn.  Raises
+    [Invalid_argument] on an empty list. *)
 
 (** {2 Transaction events}
 

@@ -399,6 +399,7 @@ let begin_txn t =
             tx_seen = Key_tbl.create 8;
           }
 
+let in_txn t = Option.is_some t.txn
 let commit_txn t = t.txn <- None
 
 let backing_remove_added : type v. v backing -> Value.t list list -> unit =

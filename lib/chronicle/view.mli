@@ -83,6 +83,9 @@ val maintain : t -> sn:Seqnum.t -> batch:Delta.batch -> unit
 val begin_txn : t -> unit
 (** Raises [Invalid_argument] if a transaction is already active. *)
 
+val in_txn : t -> bool
+(** Whether a transaction is active. *)
+
 val commit_txn : t -> unit
 (** Keep the folds since {!begin_txn}; drop the undo log.  No-op
     without an active transaction. *)

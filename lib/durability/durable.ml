@@ -293,12 +293,7 @@ let parse_record ~record sexp =
   | _ -> corrupt record "malformed journal record"
 
 let apply_parsed db = function
-  | P_append { Db.rgroup; rsn; rbatch } ->
-      if rsn <= Group.watermark (Db.group db rgroup) then false
-      else begin
-        Db.append_at db ~group:rgroup ~sn:rsn rbatch;
-        true
-      end
+  | P_append entry -> Array.exists Fun.id (Db.replay_group db [ entry ])
   | P_group entries ->
       (* atomic: the whole group applies or none of it does — this is
          the path the journal's *final* record takes, so a process that
@@ -788,87 +783,73 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?heavy_threshold
       let n = Array.length parsed in
       (* stage 3: replay.  Runs of consecutive append records (the
          common journal shape) are dispatched as one window through
-         [Db.replay_appends], which schedules independent views' fold
-         chains across the database's pool; catalog/clock records are
-         scheduling barriers replayed one at a time; and the journal's
-         final record always replays alone through the transactional
-         path, keeping the classic semantics of a batch that died with
-         the crashed process (applied-or-dropped, never half-applied).
-         Every degree — including [jobs = 1], where the pool runs
-         inline — takes this same path, so recovered state is identical
-         across degrees. *)
+         [Db.replay], the commit core's non-atomic mode: no undo marks,
+         independent views' fold chains scheduled across the database's
+         pool.  Catalog/clock records are scheduling barriers replayed
+         one at a time, and the journal's final record always replays
+         alone and atomically ([Db.replay_group] for an append or a
+         group), keeping the classic semantics of a batch that died
+         with the crashed process (applied-or-dropped, never
+         half-applied).  Every degree — including [jobs = 1], where the
+         pool runs inline — takes this same path, so recovered state is
+         identical across degrees. *)
       let apply_classic i p =
-    match apply_parsed database p with
-    | applied -> count applied
-    | exception e ->
-        if i = n - 1 then
-          (* the dying process's final batch: Db's transactional path
-             already rolled its effects back; drop its record below *)
-          dropped_failed := true
-        else raise (Recovery_error { record = i; reason = Printexc.to_string e })
-  in
-  let is_append k =
-    match parsed.(k) with P_append _ | P_group _ -> true | _ -> false
-  in
-  let i = ref 0 in
-  while !i < n do
-    if is_append !i && !i < n - 1 then begin
-      (* maximal window of consecutive append/group records, final
-         record excluded.  Group records flatten into the entry run —
-         a non-final group is fully committed (its record survived the
-         next write), so entry-at-a-time replay is exact — while
-         [spans] remembers which entries came from which source record,
-         keeping the report's replayed/skipped counts and any failure
-         index record-granular. *)
-      let entries = ref [] and spans = ref [] in
-      let j = ref !i and flat = ref 0 in
-      let scan = ref true in
-      while !scan do
-        if !j < n - 1 then
+        match apply_parsed database p with
+        | applied -> count applied
+        | exception e ->
+            if i = n - 1 then
+              (* the dying process's final batch: its atomic replay
+                 already rolled its effects back; drop its record below *)
+              dropped_failed := true
+            else
+              raise
+                (Recovery_error { record = i; reason = Printexc.to_string e })
+      in
+      let i = ref 0 in
+      while !i < n do
+        (* the maximal window of consecutive append/group records, final
+           record excluded.  Group records flatten into the entry run —
+           a non-final group is fully committed (its record survived the
+           next write), so entry-at-a-time replay is exact — while
+           [owner] maps each entry back to its record, keeping the
+           report's replayed/skipped counts and any failure index
+           record-granular. *)
+        let window = ref [] and j = ref !i in
+        while
+          !j < n - 1
+          &&
           match parsed.(!j) with
-          | P_append e ->
-              entries := [ e ] :: !entries;
-              spans := (!j, !flat, 1) :: !spans;
-              incr flat;
-              incr j
-          | P_group es ->
-              let len = List.length es in
-              entries := es :: !entries;
-              spans := (!j, !flat, len) :: !spans;
-              flat := !flat + len;
-              incr j
-          | _ -> scan := false
-        else scan := false
-      done;
-      Fault.hit fault p_replay_dispatch;
-      (match Db.replay_appends database (List.concat (List.rev !entries)) with
-      | outcomes ->
-          List.iter
-            (fun (_, start, len) ->
-              let applied = ref false in
-              for k = start to start + len - 1 do
-                if outcomes.(k) then applied := true
-              done;
-              count !applied)
-            !spans
-      | exception Db.Replay_error { index; error } ->
-          let record =
-            match
-              List.find_opt
-                (fun (_, start, len) -> index >= start && index < start + len)
-                !spans
-            with
-            | Some (r, _, _) -> r
-            | None -> !i + index
+          | P_append e -> window := [ e ] :: !window; true
+          | P_group es -> window := es :: !window; true
+          | _ -> false
+        do
+          incr j
+        done;
+        if !window = [] then begin
+          apply_classic !i parsed.(!i);
+          incr i
+        end
+        else begin
+          let window = List.rev !window in
+          let owner =
+            Array.of_list
+              (List.concat
+                 (List.mapi (fun r es -> List.map (fun _ -> !i + r) es) window))
           in
-          raise (Recovery_error { record; reason = Printexc.to_string error }));
-      i := !j
-    end
-    else begin
-      apply_classic !i parsed.(!i);
-      incr i
-    end
-  done;
+          Fault.hit fault p_replay_dispatch;
+          (match Db.replay database (List.concat window) with
+          | outcomes ->
+              let applied = Array.make (!j - !i) false in
+              Array.iteri
+                (fun k ok -> if ok then applied.(owner.(k) - !i) <- true)
+                outcomes;
+              Array.iter count applied
+          | exception Db.Commit_error { index; error } ->
+              let reason = Printexc.to_string error in
+              raise (Recovery_error { record = owner.(index); reason }));
+          i := !j
+        end
+      done;
       if !dropped_failed then
         (* erase the dropped record wherever it lives; when it sits in
            the active segment the reopened journal erases it below *)

@@ -19,9 +19,9 @@ open Chronicle_core
        the live checkpoint, and only then resets the journal — at
        every instant, checkpoint + journal describe the database.}
     {- {b Recovery.}  {!recover} loads the last checkpoint and replays
-       the journal suffix through the normal delta-maintenance path
-       ({!Db.append_at}): views are rebuilt by the same folds that
-       built them live, never by scanning chronicle history.  A torn
+       the journal suffix through the database's commit core
+       ({!Db.replay}, {!Db.replay_group}): views are rebuilt by the
+       same folds that built them live, never by scanning chronicle history.  A torn
        final record is dropped; a checksum mismatch raises
        {!Journal.Journal_corrupt}.  Replay is idempotent (records
        whose effects are already in the checkpoint are skipped), so a
@@ -34,10 +34,10 @@ open Chronicle_core
     throughput story of batched appends under [Sync_always].  On
     recovery a non-final group record is flattened into the replay
     window (it is fully committed — its record survived the next
-    write); the journal's {e final} record, if a group, is re-applied
-    atomically through {!Db.replay_group}, so a process that died
-    mid-group recovers to pre-group or post-group state, never a
-    partial group.  Report counts stay record-granular: a group record
+    write); the journal's {e final} record, append or group, is
+    re-applied atomically through {!Db.replay_group}, so a process
+    that died mid-group recovers to pre-group or post-group state,
+    never a partial group.  Report counts stay record-granular: a group record
     counts once, replayed if any of its batches applied.
 
     Faults: give {!attach}/{!recover} a {!Fault.t} to script crashes
@@ -206,9 +206,10 @@ val recover :
     ([dropped_failed]) and its journal record erased.
 
     Replay is parallel: runs of consecutive append records are
-    dispatched as windows through {!Db.replay_appends}, which records
-    batches in journal order and schedules each view's ordered fold
-    chain across the database's pool ([jobs], as {!Db.create}).
+    dispatched as windows through {!Db.replay}, which records batches
+    in journal order, without undo state, and schedules each view's
+    ordered fold chain across the database's pool ([jobs], as
+    {!Db.create}).
     Catalog and clock records, history-reading views
     ({!Ca.reads_history}) and the journal's final record are
     sequential barriers.  The recovered state is byte-identical at

@@ -4,14 +4,13 @@ exception Sync_failed of string
 (* [hit] is called from the transaction path, which at [jobs > 1] folds
    affected views on several domains concurrently — the [view-fold]
    crash point in particular fires from pool workers.  A mutex
-   serializes all mutation of the tables and the countdowns; at most
+   serializes all mutation of the table and the countdowns; at most
    one concurrent prober wins the race to crash (the others see
    [dead = true] and pass through), mirroring a real machine where one
    fault takes the process down once. *)
 type t = {
   lock : Mutex.t;
   armed : (string, int ref) Hashtbl.t; (* remaining hits before firing *)
-  counts : (string, int) Hashtbl.t;
   mutable torn : (int ref * int) option; (* appends before firing, bytes kept *)
   mutable sync_fail : (int ref * int ref) option;
       (* (healthy syncs left, failures left): transient — the storage
@@ -26,29 +25,15 @@ let locked t f =
 
 let create () =
   { lock = Mutex.create (); armed = Hashtbl.create 8;
-    counts = Hashtbl.create 8; torn = None; sync_fail = None; dead = false }
+    torn = None; sync_fail = None; dead = false }
 
 let arm t ?(after = 0) name =
   if after < 0 then invalid_arg "Fault.arm: negative countdown";
   locked t (fun () -> Hashtbl.replace t.armed name (ref after))
 
-let disarm t name = locked t (fun () -> Hashtbl.remove t.armed name)
-
-let disarm_all t =
-  locked t (fun () ->
-      Hashtbl.reset t.armed;
-      t.torn <- None;
-      t.sync_fail <- None)
-
-let hit_count t name =
-  locked t (fun () ->
-      Option.value ~default:0 (Hashtbl.find_opt t.counts name))
-
 let hit t name =
   let fire =
     locked t (fun () ->
-        Hashtbl.replace t.counts name
-          (Option.value ~default:0 (Hashtbl.find_opt t.counts name) + 1);
         if t.dead then false
         else
           match Hashtbl.find_opt t.armed name with
@@ -64,10 +49,6 @@ let hit t name =
   if fire then raise (Crash name)
 
 let is_dead t = t.dead
-
-let revive t =
-  locked t (fun () -> t.dead <- false);
-  disarm_all t
 
 let arm_torn_write ?(after = 0) t ~keep =
   if after < 0 || keep < 0 then invalid_arg "Fault.arm_torn_write";

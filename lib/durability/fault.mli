@@ -38,37 +38,26 @@ exception Sync_failed of string
 type t
 
 val create : unit -> t
-(** A plan with nothing armed: all hits are counted but none fire. *)
+(** A plan with nothing armed: no hit fires. *)
 
 val arm : t -> ?after:int -> string -> unit
 (** Arm a crash point: the [(after+1)]-th subsequent {!hit} of that
     name raises {!Crash} (default [after = 0]: the next hit). *)
 
-val disarm : t -> string -> unit
-val disarm_all : t -> unit
-
 val hit : t -> string -> unit
-(** Called by instrumented code.  Counts the hit; if the point is
-    armed and its countdown is exhausted, marks the plan dead and
+(** Called by instrumented code.  If the point is armed and its
+    countdown is exhausted, marks the plan dead and
     raises {!Crash}.  A dead plan never fires again (the process died
     once).
 
     Thread-safe: at maintenance parallelism > 1 the ["view-fold"]
-    point is probed concurrently from pool domains; countdown and
-    counts are serialized by an internal mutex, and exactly one racing
+    point is probed concurrently from pool domains; countdowns are
+    serialized by an internal mutex, and exactly one racing
     prober fires the crash (the rest observe the dead plan and pass
     through). *)
 
-val hit_count : t -> string -> int
-(** Observed hits of a point (armed or not) — lets tests discover how
-    many opportunities a workload offers before scripting crashes. *)
-
 val is_dead : t -> bool
 (** True once a crash has fired (including a torn write). *)
-
-val revive : t -> unit
-(** Clear the dead flag and all armed faults (counts survive) — for
-    reusing one plan across crash/recover iterations. *)
 
 val arm_torn_write : ?after:int -> t -> keep:int -> unit
 (** Arm a torn write against {!wrap_storage}-intercepted appends: the

@@ -27,7 +27,6 @@ let create ?(jobs = 1) () =
          degree (max_workers + 1));
   { degree }
 
-let sequential = { degree = 1 }
 let jobs t = t.degree
 
 (* ---- the shared worker machinery ---- *)
@@ -91,12 +90,6 @@ let rec worker_loop s last_gen =
     | Some _ | None -> ());
     worker_loop s gen
   end
-
-let worker_count () =
-  Mutex.lock shared.mutex;
-  let n = List.length shared.workers in
-  Mutex.unlock shared.mutex;
-  n
 
 let shutdown () =
   Mutex.lock shared.mutex;
@@ -208,8 +201,8 @@ let map t fns =
 
 (* ---- dependency-aware submission: independent sequential chains ----
 
-   The replay scheduler (and any caller with per-key ordering
-   constraints) has tasks that form disjoint linear dependency chains:
+   The fold scheduler of the database's commit core (and any caller
+   with per-key ordering constraints) has tasks that form disjoint linear dependency chains:
    within a chain the order is mandatory (e.g. one view folding its
    batches in journal order), across chains there are no edges.  A
    chain is therefore scheduled as a single claimable unit — the

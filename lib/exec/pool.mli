@@ -31,7 +31,7 @@
 
     {2 Discipline}
 
-    [run]/[map] must be called from the domain that owns the handle
+    [run_chains]/[map] must be called from the domain that owns the handle
     (in this engine: the domain running the transaction path), and
     parallel sections must not nest.  Tasks must not raise across the
     pool — exceptions are caught per task and reported to the
@@ -47,23 +47,8 @@ val create : ?jobs:int -> unit -> t
     [Invalid_argument] on negative [jobs] or a request beyond the
     runtime's domain budget. *)
 
-val sequential : t
-(** [create ~jobs:1 ()]. *)
-
 val jobs : t -> int
 (** The effective parallelism degree (≥ 1). *)
-
-val run : t -> (unit -> unit) array -> exn option array
-(** Execute every task, the caller working alongside at most
-    [jobs t - 1] worker domains; return per-task outcomes.  All tasks
-    are executed even if some raise (a failed task cannot cancel its
-    siblings mid-flight; the caller owns recovery).  With [jobs t = 1]
-    or fewer than two tasks, runs inline sequentially in array order —
-    no domain is ever involved. *)
-
-val run_exn : t -> (unit -> unit) array -> unit
-(** Like {!run}, but re-raises the lowest-indexed failure (a
-    deterministic choice) after all tasks have finished. *)
 
 val map : t -> (unit -> 'a) array -> 'a array
 (** Parallel evaluation of thunks; re-raises the lowest-indexed
@@ -73,13 +58,16 @@ val run_chains : t -> (unit -> unit) array array -> exn option array
 (** Dependency-aware submission for workloads whose tasks form
     {e disjoint linear chains}: element [i] is a sequence of links that
     must run in order (each link depends on its predecessor), while
-    distinct chains are independent and are scheduled across domains
-    exactly like {!run} tasks.  Returns one outcome per chain: the
+    distinct chains are independent: the caller works alongside at
+    most [jobs t - 1] worker domains, each claiming whole chains from
+    the shared queue.  Returns one outcome per chain: the
     first link that raises aborts the remainder of {e that chain only}
     (its successors depend on it) and becomes the chain's exception;
-    other chains still run to completion.  With [jobs t = 1] the chains
-    run inline in array order — byte-identical to a sequential nested
-    loop. *)
+    other chains still run to completion (a failed chain cannot cancel
+    its siblings mid-flight; the caller owns recovery).  With
+    [jobs t = 1] or fewer than two chains, the chains run inline in
+    array order — no domain is involved, byte-identical to a
+    sequential nested loop. *)
 
 val chunk_ranges : jobs:int -> int -> (int * int) array
 (** [chunk_ranges ~jobs n] partitions [0 .. n-1] into at most [jobs]
@@ -88,9 +76,3 @@ val chunk_ranges : jobs:int -> int -> (int * int) array
     makes parallel folds order-stable: each range preserves the
     sequential visit order within itself. *)
 
-val worker_count : unit -> int
-(** Live worker domains (excluding the caller); observability only. *)
-
-val shutdown : unit -> unit
-(** Join all worker domains.  Subsequent submissions respawn lazily.
-    Called automatically at process exit. *)
